@@ -227,11 +227,17 @@ class EngineSnapshot:
                 f"need at least 2 scanned tuples of {name!r} to unbias F2"
             )
         correction = self_join_correction(relation.info())
-        estimate = correction.apply(
-            self.sketch_view(name).second_moment(), relation.scanned
-        )
+        estimate = correction.apply(self._second_moment(name), relation.scanned)
         self._stats_cache[("sj", name)] = estimate
         return estimate
+
+    def _second_moment(self, name: str) -> float:
+        """The frozen sketch's raw ``F₂`` estimate, computed once."""
+        cached = self._stats_cache.get(("f2", name))
+        if cached is None:
+            cached = self.sketch_view(name).second_moment()
+            self._stats_cache[("f2", name)] = cached
+        return cached
 
     def join_size(self, name_a: str, name_b: str) -> float:
         """Unbiased ``|A ⋈ B|`` estimate between two frozen prefixes."""
@@ -276,12 +282,21 @@ class EngineSnapshot:
             averaged=self.averaged_estimators,
         )
 
-    def point_frequency_variance_bound(self, name: str, key: int) -> float:
-        """Conservative variance bound for :meth:`point_frequency`."""
+    def point_frequency_variance_bound(
+        self, name: str, key: int, *, estimate: float | None = None
+    ) -> float:
+        """Conservative variance bound for :meth:`point_frequency`.
+
+        Pass *estimate* when :meth:`point_frequency` was already computed
+        for the same key, so the bound does not hash, gather and take the
+        median again.
+        """
         relation = self.relation(name)
+        if estimate is None:
+            estimate = self.point_frequency(name, key)
         return prefix_point_frequency_variance(
-            self.point_frequency(name, key),
-            self.sketch_view(name).second_moment(),
+            estimate,
+            self._second_moment(name),
             scanned=relation.scanned,
             total=relation.total_tuples,
             buckets=self.averaged_estimators,
@@ -328,9 +343,10 @@ class EngineSnapshot:
         method: str = "chebyshev",
     ) -> ConfidenceInterval:
         """Confidence interval for :meth:`point_frequency`."""
+        estimate = self.point_frequency(name, key)
         return _interval(
-            self.point_frequency(name, key),
-            self.point_frequency_variance_bound(name, key),
+            estimate,
+            self.point_frequency_variance_bound(name, key, estimate=estimate),
             confidence,
             method,
         )

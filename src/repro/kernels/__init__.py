@@ -3,40 +3,43 @@
 Sketch updates decompose into two stages: *hashing* (map a batch of keys
 to bucket indices and ±1 signs, one row per basic estimator) and
 *accumulation* (scatter the signed deltas into the counter matrix).
-Both stages route through the backend seam in this subpackage: the
-polynomial hash families dispatch their row-batched evaluation via
-``polynomial_mod_p`` / ``bucket_indices`` / ``parity_signs``, and the
-sketches dispatch accumulation via ``scatter_add`` /
-``signed_scatter_add`` / ``gather`` and the AGMS sign reductions.
+Every sketch update crosses the seam in this subpackage exactly once,
+through the fused entry point (:mod:`~repro.kernels.fused`): a sketch's
+``update()`` is :func:`fused_update` on a one-entry plan, and several
+sketches over one key stream share a single pass (see
+:func:`make_fused_plan`).  The backend hashes and accumulates inside
+that call.  The separate primitives stay on the seam for the query
+path and as the reference semantics: the polynomial hash families
+dispatch their row-batched evaluation via ``polynomial_mod_p`` /
+``bucket_indices`` / ``parity_signs``, point queries read through
+``gather``, and the base :meth:`KernelBackend.fused_update` replays an
+update as ``scatter_add`` / ``signed_scatter_add`` and the AGMS sign
+reductions.
 
 Three backends register themselves at import time:
 
-* :mod:`~repro.kernels.numpy_backend` — the default.  Hashing runs a
-  lazily-reduced Horner pass over the whole ``(rows, n)`` matrix with
-  no 64-bit divisions; scatter-adds are fused into a single
-  :func:`numpy.bincount` over flattened ``row · buckets + bucket``
-  indices, so a whole batch is accumulated in one C pass instead of
-  ``rows`` Python-level ``np.add.at`` calls.  Unweighted ±1 updates
-  avoid float weights entirely by counting into sign-split slots
-  (exact integer arithmetic).
-* :mod:`~repro.kernels.native` — a small C library compiled on demand
-  with the system compiler; fuses each hashing primitive into a single
-  loop that touches every key once.  Falls back cleanly (stays
-  registered, raises on activation) when no compiler is available.
+* :mod:`~repro.kernels.native` — a small C library built with the
+  system compiler and cached per user and host; hashes and scatters
+  each key in one loop while it sits in a register.  The default when
+  it loads and passes :func:`native_self_test`.  Without a compiler or
+  a cached build it stays registered (raising on activation) and the
+  default falls back to numpy.
+* :mod:`~repro.kernels.numpy_backend` — the default when native is
+  unavailable.  Hashing runs a lazily-reduced Horner pass with no 64-bit
+  divisions; scatter-adds are one :func:`numpy.bincount` over flattened
+  ``row · buckets + bucket`` indices, and unweighted ±1 updates count
+  into sign-split slots (exact integer arithmetic) in L2-sized key
+  blocks.
 * :mod:`~repro.kernels.reference` — the legacy per-row ``np.add.at``
   and exact-``%`` hashing path, kept as the behavioural baseline the
-  equivalence tests and the perf-smoke benchmark compare against.
+  equivalence tests, the native self-test and the perf-smoke benchmark
+  compare against.
 
 Backends are selected with :func:`set_backend` / :func:`use_backend`, or
-the ``REPRO_KERNEL_BACKEND`` environment variable; further backends
-register themselves with :func:`register_backend` and slot in without
-touching any sketch or hashing code.
-
-On top of the per-sketch primitives the seam carries a *fused
-multi-sketch* entry point (:mod:`~repro.kernels.fused`): one pass over a
-key chunk updates several sketches at once, sharing key validation and
-letting each backend batch the hash evaluations — see
-:func:`fused_update` / :func:`make_fused_plan`.
+the ``REPRO_KERNEL_BACKEND`` environment variable, both of which take
+priority over the default; further backends register themselves with
+:func:`register_backend` and slot in without touching any sketch or
+hashing code.
 
 Every backend must leave counters **bit-identical** to the reference
 path for integer-valued deltas (the unweighted and frequency-vector
@@ -63,6 +66,7 @@ from .native import (
     NativeKernelBackend,
     native_available,
     native_openmp,
+    native_self_test,
     native_threads,
     set_native_threads,
 )
@@ -84,6 +88,7 @@ __all__ = [
     "make_fused_plan",
     "native_available",
     "native_openmp",
+    "native_self_test",
     "native_threads",
     "register_backend",
     "set_backend",

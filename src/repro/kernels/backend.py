@@ -11,7 +11,11 @@ Selection, in priority order:
 1. an explicit :func:`set_backend` / :func:`use_backend` call;
 2. the ``REPRO_KERNEL_BACKEND`` environment variable, read once on the
    first :func:`get_backend` call;
-3. the ``"numpy"`` default.
+3. the default, also resolved on that first call: ``"native"`` when its
+   compiled library loads (from the per-user build cache, or built on
+   the spot) and passes :func:`~repro.kernels.native.native_self_test`,
+   a bit-identity check against ``"reference"``; otherwise ``"numpy"``.
+   ``REPRO_KERNEL_BACKEND=numpy`` keeps a process off the compiled path.
 
 New backends (e.g. a numba- or C-compiled one) call
 :func:`register_backend` at import time and become selectable by name.
@@ -57,6 +61,10 @@ class KernelBackend(abc.ABC):
 
     #: Registry key; subclasses override.
     name: str = "abstract"
+
+    def check_available(self) -> None:
+        """Raise :class:`~repro.errors.ConfigurationError` if this backend
+        cannot run in this process; :func:`set_backend` calls it."""
 
     @abc.abstractmethod
     def scatter_add(
@@ -153,12 +161,12 @@ class KernelBackend(abc.ABC):
         *keys* arrive validated (range-checked against the plan's key
         bound) and — unless :attr:`fused_accepts_int32` — widened to the
         canonical ``uint64`` the hash families use; *weights* is a
-        ``(n,)`` float64 array or ``None``.  The base implementation
-        replays each entry through the separate-path primitives
-        (``bucket_indices`` / ``parity_signs`` / the scatter and sign
-        reductions), so any backend is bit-identical to per-sketch
-        ``update()`` calls by construction; subclasses override to share
-        work across entries.
+        ``(n,)`` float64 array or ``None``.  This is the only call an
+        update makes into the backend.  The base implementation replays
+        each entry through the primitives above (``bucket_indices`` /
+        ``parity_signs`` / the scatter and sign reductions), which is
+        the reference semantics; subclasses override to hash and
+        accumulate in fewer passes, bit-identically.
         """
         if keys.dtype != np.uint64:
             # Hash-key API dtype, not an accumulator.
@@ -188,26 +196,39 @@ def set_backend(name) -> KernelBackend:
     :class:`KernelBackend` *instance* — the latter activates the instance
     directly without registering it, which is how transient wrappers like
     :class:`repro.observability.profiling.ProfilingKernelBackend` splice
-    into the seam without polluting :func:`available_backends`.
+    into the seam without polluting :func:`available_backends`.  Raises
+    :class:`~repro.errors.ConfigurationError` for an unknown name or a
+    backend that cannot run here (native without a compiler or a cached
+    build), leaving the active backend unchanged.
     """
     global _active
     if isinstance(name, KernelBackend):
-        _active = name
-        return _active
-    try:
-        _active = _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown kernel backend {name!r}; "
-            f"available: {available_backends()}"
-        ) from None
+        backend = name
+    else:
+        try:
+            backend = _REGISTRY[name]
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown kernel backend {name!r}; "
+                f"available: {available_backends()}"
+            ) from None
+    backend.check_available()
+    _active = backend
     return _active
 
 
+def _default_backend_name() -> str:
+    """``"native"`` if it loads and passes its self-test, else ``"numpy"``."""
+    from .native import native_self_test  # native imports this module
+
+    return "native" if native_self_test() else "numpy"
+
+
 def get_backend() -> KernelBackend:
-    """The active backend (resolving ``REPRO_KERNEL_BACKEND`` on first use)."""
+    """The active backend (resolving the env var or default on first use)."""
     if _active is None:
-        return set_backend(os.environ.get(BACKEND_ENV_VAR, "numpy"))
+        name = os.environ.get(BACKEND_ENV_VAR)
+        return set_backend(_default_backend_name() if name is None else name)
     return _active
 
 

@@ -14,11 +14,19 @@ native backend) or share one stacked Horner pass across sketches (the
 numpy backend) — the batching idea of disaggregated-sketch systems
 (arXiv 1709.04048) applied to the update path.
 
+It is also the *only* sketch update path: each sketch's ``update()``
+runs :func:`fused_update` on a one-entry plan it caches, so a single
+``update()`` on a 2²⁰-key chunk gets the same key blocking (numpy) or
+single C pass (native) as a multi-sketch batch, and never materializes
+the ``(rows, n)`` index/sign matrices.
+
 The seam method is :meth:`~repro.kernels.backend.KernelBackend.fused_update`;
-its base implementation replays the exact per-sketch primitives of the
-separate path, so **every backend is bit-identical to calling each
-sketch's** ``update()`` **individually** — enforced for all sketch types
-× backends in ``tests/test_fused_kernels.py``.
+its base implementation replays the hashing and accumulation primitives
+(``bucket_indices`` / ``parity_signs`` / the scatter and sign
+reductions) entry by entry, so **a multi-sketch call is bit-identical
+to calling each sketch's** ``update()`` **in turn, and every backend to
+the reference backend** — enforced for all sketch types × backends in
+``tests/test_fused_kernels.py`` and ``tests/test_kernels.py``.
 
 Plans
 -----
@@ -29,7 +37,8 @@ its counter array and hash-family coefficients.  Build one with
 pass the sketch sequence straight to :func:`fused_update` (a plan is
 built per call).  A plan holds *references* — rebuilding a sketch's
 counter storage (e.g. :meth:`~repro.sketches.base.Sketch._bind_state`)
-invalidates any plan built before it.
+invalidates any plan built before it; a sketch drops its own cached
+plan when that happens.
 
 int32 fast path
 ---------------
@@ -43,6 +52,7 @@ view the hash families use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,7 +127,7 @@ class FusedPlan:
 
     entries: tuple = field(default_factory=tuple)
 
-    @property
+    @cached_property
     def key_bound(self) -> int:
         """Tightest key-domain bound across all entries."""
         return min((entry.key_bound for entry in self.entries), default=2**31 - 1)
@@ -161,13 +171,13 @@ def _prepare_keys(keys, bound: int, backend) -> np.ndarray:
     if keys.size == 0:
         # Hash-key API dtype, not an accumulator.
         return keys.astype(np.uint64)  # repro: noqa(REP002)
-    if not np.issubdtype(keys.dtype, np.integer):
+    if keys.dtype.kind not in "iu":
         raise DomainError("sketch keys must be integers")
     lo = int(keys.min())
     hi = int(keys.max())
     if lo < 0 or hi >= bound:
         raise DomainError(
-            f"fused-update keys must lie in [0, {bound}), saw range [{lo}, {hi}]"
+            f"sketch keys must lie in [0, {bound}), saw range [{lo}, {hi}]"
         )
     if keys.dtype in (np.int32, np.uint32) and getattr(
         backend, "fused_accepts_int32", False
@@ -203,8 +213,13 @@ def fused_update(target, keys, weights=None) -> None:
     plan = target if isinstance(target, FusedPlan) else make_fused_plan(target)
     if not plan.entries:
         return
+    for entry in plan.entries:
+        # np.add.at (the reference backend) and raw C pointers (native)
+        # would both write straight through a frozen snapshot.
+        if not entry.counters.flags.writeable:
+            raise ConfigurationError("cannot update read-only sketch counters")
     backend = get_backend()
     prepared = _prepare_keys(keys, plan.key_bound, backend)
-    if prepared.size == 0:
-        return
-    backend.fused_update(plan, prepared, _prepare_weights(weights, prepared.size))
+    weights = _prepare_weights(weights, prepared.size)
+    if prepared.size:
+        backend.fused_update(plan, prepared, weights)

@@ -28,15 +28,25 @@ The build tries ``-fopenmp`` and falls back to a single-threaded compile
 when the toolchain lacks it, mirroring the no-compiler fallback below:
 :func:`native_openmp` reports what the loaded library supports.
 
-The library is built lazily, at most once per process, from the C source
-embedded below: the source is written to a private temporary directory
-and compiled with the system C compiler (``$CC`` or ``cc``) into a
-shared object loaded through :mod:`ctypes`.  Nothing is cached across
-processes and no artifacts touch the working tree.  If no compiler is
-available the build fails softly: the backend stays registered (so it is
-listed and produces a clear :class:`~repro.errors.ConfigurationError`
-when activated) and :func:`native_available` reports ``False`` so tests
-and benchmarks can skip it.
+The library is loaded lazily, at most once per process, from a per-user
+build cache: ``repro-kernels-<uid>`` under :func:`tempfile.gettempdir`,
+created with mode 0700 and trusted only while the caller owns it and
+nobody else can write to it.  A cached object is keyed by the C source,
+the compiler's resolved path and version, the flags, the machine and
+the CPU flags (see :func:`_build`); on a miss the source embedded below
+is compiled with the system C compiler (``$CC`` or ``cc``; ~0.5 s with
+gcc 12 on a 2-vCPU x86 guest) and published atomically, so later
+processes — pool workers included — only load it.  A fresh build that
+will not load (a ``noexec`` temp dir, say) leaves a ``.failed`` marker
+beside it, so later processes skip the compile; delete the marker to
+retry.  No artifacts touch the working tree.  If no compiler is
+available and nothing is cached the build fails softly: the backend
+stays registered (so it is listed and produces a clear
+:class:`~repro.errors.ConfigurationError` when activated),
+:func:`native_available` reports ``False``, and the default selection
+(:func:`repro.kernels.get_backend`) picks numpy.  The default picks this
+backend only after :func:`native_self_test` has reproduced the reference
+backend's counters bit for bit.
 
 Bit-identity: the C code computes the *canonical* residue mod
 ``p = 2³¹ − 1`` with the same fold-and-subtract schedule the numpy path
@@ -55,7 +65,11 @@ path falls back to the replayed primitives for such entries).
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
+import platform
+import shutil
+import stat
 import subprocess
 import tempfile
 from ctypes import POINTER, c_double, c_int8, c_int64, c_uint64, c_void_p
@@ -66,6 +80,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .backend import register_backend
+from .fused import FusedEntry, FusedPlan, _prepare_keys
 from .numpy_backend import NumpyKernelBackend
 
 __all__ = [
@@ -73,6 +88,7 @@ __all__ = [
     "native_available",
     "native_build_error",
     "native_openmp",
+    "native_self_test",
     "native_threads",
     "set_native_threads",
 ]
@@ -80,6 +96,9 @@ __all__ = [
 #: Worker threads for the native row loops (default 1; results are
 #: bit-identical for any value — see :func:`set_native_threads`).
 THREADS_ENV_VAR = "REPRO_NATIVE_THREADS"
+
+#: The hash families' Mersenne prime modulus ``2³¹ − 1``.
+_P31 = 2**31 - 1
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -434,16 +453,21 @@ def _declare(lib: ctypes.CDLL) -> None:
         _F64P, c_int64, c_int64, _I64P, _I8P, c_int64, _F64P,
     ]
     lib.repro_signed_scatter.restype = None
+    # The fused kernels take raw addresses: they run once per chunk and
+    # per entry, where building typed pointers would cost more than a
+    # small chunk's C pass.
     lib.repro_fused_agms.argtypes = [
-        _U64P, c_int64, c_void_p, c_int64, c_int64, _I64P,
+        c_void_p, c_int64, c_void_p, c_int64, c_int64, c_void_p,
     ]
     lib.repro_fused_agms.restype = None
     lib.repro_fused_signed.argtypes = [
-        _U64P, _U64P, c_int64, c_void_p, c_int64, c_int64, c_int64, _F64P, _F64P,
+        c_void_p, c_void_p, c_int64, c_void_p, c_int64, c_int64, c_int64,
+        c_void_p, c_void_p,
     ]
     lib.repro_fused_signed.restype = None
     lib.repro_fused_unsigned.argtypes = [
-        _U64P, c_int64, c_void_p, c_int64, c_int64, c_int64, _F64P, _F64P,
+        c_void_p, c_int64, c_void_p, c_int64, c_int64, c_int64, c_void_p,
+        c_void_p,
     ]
     lib.repro_fused_unsigned.restype = None
     lib.repro_set_threads.argtypes = [c_int64]
@@ -454,52 +478,200 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.repro_openmp_compiled.restype = c_int64
 
 
-def _build() -> ctypes.CDLL:
-    """Compile the embedded C source into a private temp dir and load it."""
-    build_dir = Path(tempfile.mkdtemp(prefix="repro-kernels-"))
+#: Compiler flags, tried in order until the toolchain accepts a set.
+#: ``-march=native`` lets the compiler vectorize the straight-line Horner
+#: loops (8-wide 64-bit multiplies with AVX-512DQ); ``-fopenmp`` enables
+#: the threaded row loops.  The single-threaded portable compile is the
+#: floor.
+_FLAG_LADDER = (
+    ("-march=native", "-fopenmp"),
+    ("-march=native",),
+    ("-fopenmp",),
+    (),
+)
+
+
+def _compiler_identity(compiler: str) -> Optional[str]:
+    """Resolved path and ``--version`` banner of *compiler*, if it runs."""
+    path = shutil.which(compiler)
+    if path is None:
+        return None
+    try:
+        proc = subprocess.run(
+            [path, "--version"], capture_output=True, text=True, timeout=60
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if proc.returncode != 0:
+        return None
+    return f"{os.path.realpath(path)}\n{proc.stdout}"
+
+
+def _cpu_flags() -> str:
+    """The CPU feature flags a ``-march=native`` build may depend on."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as info:
+            for line in info:
+                key, _, value = line.partition(":")
+                if key.strip() in ("flags", "Features"):
+                    return value.strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def _digest(*parts: str) -> str:
+    return hashlib.sha256("\0".join(parts).encode()).hexdigest()
+
+
+def _cache_dir() -> Optional[Path]:
+    """The per-user build cache under the temp dir, or ``None`` if untrusted.
+
+    The directory is created with mode 0700.  One that already exists is
+    used only when it is a real directory owned by the caller and
+    writable by nobody else — anyone who can write there could plant a
+    library this process would load.
+    """
+    getuid = getattr(os, "getuid", None)
+    if getuid is None:
+        return None
+    uid = getuid()
+    path = Path(tempfile.gettempdir()) / f"repro-kernels-{uid}"
+    try:
+        path.mkdir(mode=0o700)
+    except FileExistsError:
+        pass
+    except OSError:
+        return None
+    try:
+        info = os.lstat(path)
+    except OSError:
+        return None
+    if (
+        not stat.S_ISDIR(info.st_mode)
+        or info.st_uid != uid
+        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    ):
+        return None
+    return path
+
+
+def _compile(compiler: str, build_dir: Path) -> Path:
+    """Compile the embedded C source inside *build_dir*; return the object."""
     source = build_dir / "repro_kernels.c"
     source.write_text(_C_SOURCE)
     shared = build_dir / "repro_kernels.so"
-    compiler = os.environ.get("CC", "cc")
     base = [compiler, "-O3", "-fPIC", "-shared", "-o", str(shared), str(source)]
-    # -march=native lets the compiler vectorize the straight-line Horner
-    # loops (8-wide 64-bit multiplies with AVX-512DQ); -fopenmp enables
-    # the threaded row loops.  Drop each in turn when the local toolchain
-    # rejects it — the single-threaded portable compile is the floor.
     proc = None
-    for extra in (
-        ["-march=native", "-fopenmp"],
-        ["-march=native"],
-        ["-fopenmp"],
-        [],
-    ):
+    for extra in _FLAG_LADDER:
         proc = subprocess.run(
-            base[:1] + extra + base[1:], capture_output=True, text=True
+            base[:1] + list(extra) + base[1:], capture_output=True, text=True
         )
         if proc.returncode == 0:
-            break
-    if proc is None or proc.returncode != 0:
-        detail = proc.stderr.strip() or proc.stdout.strip() or "no diagnostics"
-        raise OSError(f"{' '.join(base)} failed: {detail}")
-    lib = ctypes.CDLL(str(shared))
-    _declare(lib)
+            return shared
+    detail = proc.stderr.strip() or proc.stdout.strip() or "no diagnostics"
+    raise OSError(f"{' '.join(base)} failed: {detail}")
+
+
+def _requested_threads() -> int:
+    """The thread count ``REPRO_NATIVE_THREADS`` asks for (default 1)."""
     raw = os.environ.get(THREADS_ENV_VAR)
-    if raw:
-        try:
-            lib.repro_set_threads(int(raw))
-        except ValueError:
-            raise OSError(
-                f"{THREADS_ENV_VAR}={raw!r} is not an integer"
-            ) from None
+    if not raw:
+        return 1
+    try:
+        return int(raw)
+    except ValueError:
+        raise OSError(f"{THREADS_ENV_VAR}={raw!r} is not an integer") from None
+
+
+def _load(shared: Path) -> ctypes.CDLL:
+    """Load a compiled object and declare its entry points."""
+    lib = ctypes.CDLL(str(shared))
+    try:
+        _declare(lib)
+    except AttributeError as exc:
+        raise OSError(f"{shared} is not a repro kernel library: {exc}") from None
     return lib
 
 
+def _build() -> ctypes.CDLL:
+    """Load the library from the per-user cache, building it on a miss.
+
+    The cached object's name is ``<host>-<build>.so``: *host* digests
+    the C source, the flag ladder, ``platform.machine()`` and the CPU
+    flags; *build* digests *host* plus the compiler's resolved path and
+    ``--version`` banner.  A new compiler therefore rebuilds, and a
+    ``-march=native`` object never loads on another CPU.  When ``$CC``
+    does not run at all, any build cached for this host still loads.
+    A miss compiles into a staging directory inside the cache and is
+    published with :func:`os.replace`, so concurrent builders never see
+    a partial file.  An untrusted cache directory, or a cached object
+    that will not load, falls back to a private per-process build.  A
+    fresh build that will not load writes ``<host>-<build>.failed``
+    instead: a private build in the same temp dir would fail alike, so
+    this and every later process raise at once rather than recompile.
+    """
+    compiler = os.environ.get("CC", "cc")
+    identity = _compiler_identity(compiler)
+    cache = _cache_dir()
+    host = _digest(
+        _C_SOURCE, repr(_FLAG_LADDER), platform.machine(), _cpu_flags()
+    )[:16]
+    if identity is None:
+        candidates = [] if cache is None else sorted(
+            cache.glob(f"{host}-*.so"),
+            key=lambda path: path.stat().st_mtime,
+            reverse=True,
+        )
+        for cached in candidates:
+            try:
+                return _load(cached)
+            except OSError:
+                continue
+        raise OSError(
+            f"C compiler {compiler!r} does not run and no build is cached "
+            "for this host"
+        )
+    if cache is not None:
+        target = cache / f"{host}-{_digest(host, identity)}.so"
+        failed = target.with_suffix(".failed")
+        if failed.exists():
+            raise OSError(
+                f"a fresh build in {cache} would not load; "
+                f"delete {failed.name} there to retry"
+            )
+        fresh = not target.exists()
+        if fresh:
+            staging = Path(tempfile.mkdtemp(prefix="build-", dir=cache))
+            try:
+                os.replace(_compile(compiler, staging), target)
+            finally:
+                shutil.rmtree(staging, ignore_errors=True)
+        try:
+            return _load(target)
+        except OSError as exc:
+            # Drop the object so the next process rebuilds the cache.
+            target.unlink(missing_ok=True)
+            if fresh:
+                failed.write_text(f"{exc}\n")
+                raise
+            # A stale or damaged object: build privately now.
+    private = Path(tempfile.mkdtemp(prefix="repro-kernels-"))
+    try:
+        return _load(_compile(compiler, private))
+    except OSError:
+        shutil.rmtree(private, ignore_errors=True)
+        raise
+
+
 def _library() -> ctypes.CDLL:
-    """The compiled library, building it on first use (once per process)."""
+    """The compiled library, loaded or built on first use (once per process)."""
     global _lib, _build_error
     if _lib is None and _build_error is None:
         try:
+            threads = _requested_threads()
             _lib = _build()
+            _lib.repro_set_threads(threads)
         except OSError as exc:
             _build_error = str(exc)
     if _lib is None:
@@ -561,13 +733,23 @@ def _u64(array: np.ndarray):
     return array.ctypes.data_as(_U64P)
 
 
-def _counter_pointer(counters: np.ndarray):
-    """Pointer to the counter matrix, which the C side mutates in place."""
+def _counter_address(counters: np.ndarray) -> int:
+    """Address of the counter matrix, which the C side mutates in place."""
     if not counters.flags.c_contiguous:
         raise ConfigurationError(
             "native backend needs C-contiguous counters; got a strided view"
         )
-    return counters.ctypes.data_as(_F64P)
+    if not counters.flags.writeable:
+        # The C code would write straight through a frozen snapshot.
+        raise ConfigurationError(
+            "native backend cannot update read-only counters"
+        )
+    return counters.ctypes.data
+
+
+def _counter_pointer(counters: np.ndarray):
+    """Typed pointer to the counter matrix (see :func:`_counter_address`)."""
+    return ctypes.cast(_counter_address(counters), _F64P)
 
 
 class NativeKernelBackend(NumpyKernelBackend):
@@ -575,13 +757,18 @@ class NativeKernelBackend(NumpyKernelBackend):
 
     Inherits the numpy implementations for everything it does not
     accelerate (gather, AGMS sign reductions, EH3/tabulation families).
-    Activate with ``set_backend("native")`` or
-    ``REPRO_KERNEL_BACKEND=native``; activation raises
-    :class:`~repro.errors.ConfigurationError` when no C compiler is
-    available (see :func:`native_available`).
+    The default backend whenever the library loads and passes
+    :func:`native_self_test`; ``set_backend("native")`` or
+    ``REPRO_KERNEL_BACKEND=native`` activate it explicitly, which raises
+    :class:`~repro.errors.ConfigurationError` when neither a C compiler
+    nor a cached build is available (see :func:`native_available`).
     """
 
     name = "native"
+
+    def check_available(self) -> None:
+        """Raise unless the library loads (built or cached)."""
+        _library()
 
     #: Fused kernels widen int32/uint32 keys block-wise in C (see
     #: :func:`repro.kernels.fused.fused_update`).
@@ -693,83 +880,182 @@ class NativeKernelBackend(NumpyKernelBackend):
 
         Polynomial-family entries run fully in C (no intermediate
         index/sign matrices); EH3-signed entries and the weighted AGMS
-        reduction fall back to the replayed separate-path primitives
-        (C hashing + the numpy sign reductions), keeping every entry
-        bit-identical to its per-sketch ``update()``.
+        reduction fall back to the replayed primitives (C hashing + the
+        numpy sign reductions), keeping every entry bit-identical to the
+        reference backend.  Each entry's kernel and fixed arguments are
+        resolved once per plan (:func:`_plan_kernels`), so a small chunk
+        pays one C call per entry and little else.
         """
-        lib = _library()
+        kernels = getattr(plan, "_native_kernels", None)
+        if kernels is None:
+            kernels = plan._native_kernels = _plan_kernels(_library(), plan)
         n = keys.size
         kwidth = keys.dtype.itemsize
         if kwidth not in (4, 8):
             keys = keys.astype(np.uint64)
             kwidth = 8
-        key_pointer = keys.ctypes.data_as(c_void_p)
-        weight_pointer = (
-            None
-            if weights is None
-            else np.ascontiguousarray(weights).ctypes.data_as(_F64P)
-        )
-        wide: Optional[np.ndarray] = None
-
-        def keys64() -> np.ndarray:
-            # Canonical uint64 view for the numpy-path fallbacks, built
-            # at most once per call.
-            nonlocal wide
-            if wide is None:
-                if keys.dtype == np.uint64:
-                    wide = keys
-                elif keys.dtype == np.int64:
-                    wide = keys.view(np.uint64)
-                else:
-                    wide = keys.astype(np.uint64)
-            return wide
-
-        for entry in plan.entries:
-            poly_signs = (
-                entry.sign_kind == "poly"
-                and entry.sign_coefficients is not None
-                and entry.sign_coefficients.shape[1] == 4
-            )
-            if entry.kind == "agms":
-                if poly_signs and weights is None:
-                    rowsums = np.empty(entry.rows, dtype=np.int64)
-                    lib.repro_fused_agms(
-                        _u64(np.ascontiguousarray(entry.sign_coefficients)),
-                        entry.rows,
-                        key_pointer,
-                        kwidth,
-                        n,
-                        rowsums.ctypes.data_as(_I64P),
-                    )
-                    entry.counters += rowsums.astype(np.float64)
-                else:
-                    entry.replay(self, keys64(), weights)
-            elif entry.kind == "fagms":
-                if poly_signs:
-                    lib.repro_fused_signed(
-                        _u64(np.ascontiguousarray(entry.bucket_coefficients)),
-                        _u64(np.ascontiguousarray(entry.sign_coefficients)),
-                        entry.rows,
-                        key_pointer,
-                        kwidth,
-                        n,
-                        entry.buckets,
-                        _counter_pointer(entry.counters),
-                        weight_pointer,
-                    )
-                else:
-                    entry.replay(self, keys64(), weights)
+        key_address = keys.ctypes.data
+        if weights is not None:
+            weights = np.ascontiguousarray(weights, dtype=np.float64)
+        weight_address = None if weights is None else weights.ctypes.data
+        wide = None
+        for entry, kernel in zip(plan.entries, kernels):
+            if kernel is not None and entry.kind != "agms":
+                function, head, tail = kernel
+                function(*head, key_address, kwidth, n, *tail, weight_address)
+            elif kernel is not None and weights is None:
+                function, head, _ = kernel
+                rowsums = np.empty(entry.rows, dtype=np.int64)
+                function(*head, key_address, kwidth, n, rowsums.ctypes.data)
+                entry.counters += rowsums.astype(np.float64)
             else:
-                lib.repro_fused_unsigned(
-                    _u64(np.ascontiguousarray(entry.bucket_coefficients)),
+                if wide is None:
+                    # Canonical uint64 keys for the numpy-path fallbacks
+                    # (lazy import: hashing imports this package).
+                    from ..hashing.families import _as_uint64
+
+                    wide = _as_uint64(keys)
+                entry.replay(self, wide, weights)
+
+
+def _plan_kernels(lib: ctypes.CDLL, plan) -> tuple:
+    """Per entry ``(kernel, leading args, trailing args)``, or ``None``.
+
+    ``None`` marks an entry that replays through the primitives (EH3
+    signs).  A plan references its coefficient and counter arrays for
+    life and numpy never moves an array's data, so their addresses are
+    resolved once here rather than per chunk.
+    """
+
+    def address(coefficients: np.ndarray) -> int:
+        if coefficients.dtype != np.uint64 or not coefficients.flags.c_contiguous:
+            raise ConfigurationError(
+                "native backend needs C-contiguous uint64 hash coefficients"
+            )
+        return coefficients.ctypes.data
+
+    kernels = []
+    for entry in plan.entries:
+        poly_signs = (
+            entry.sign_kind == "poly"
+            and entry.sign_coefficients is not None
+            and entry.sign_coefficients.shape[1] == 4
+        )
+        if entry.kind == "countmin":
+            kernels.append((
+                lib.repro_fused_unsigned,
+                (address(entry.bucket_coefficients), entry.rows),
+                (entry.buckets, _counter_address(entry.counters)),
+            ))
+        elif not poly_signs:
+            kernels.append(None)
+        elif entry.kind == "fagms":
+            kernels.append((
+                lib.repro_fused_signed,
+                (
+                    address(entry.bucket_coefficients),
+                    address(entry.sign_coefficients),
                     entry.rows,
-                    key_pointer,
-                    kwidth,
-                    n,
-                    entry.buckets,
-                    _counter_pointer(entry.counters),
-                    weight_pointer,
-                )
+                ),
+                (entry.buckets, _counter_address(entry.counters)),
+            ))
+        else:
+            kernels.append((
+                lib.repro_fused_agms,
+                (address(entry.sign_coefficients), entry.rows),
+                (),
+            ))
+    return tuple(kernels)
+
+
+#: The self-test batch: both ends of the hash domain plus 509 keys spread
+#: across it (every value fits int32 and int64), and integer weights in
+#: [-3, 3] for the weighted pass.  Built with Python integers so the
+#: check touches no numpy code the update path itself does not.
+_SELF_TEST_KEYS = [0, _P31 - 2] + [i * 4219957 % (_P31 - 1) for i in range(509)]
+_SELF_TEST_WEIGHTS = [i % 7 - 3 for i in range(len(_SELF_TEST_KEYS))]
+
+#: sha256 of the self-test plan's counters after the ``reference``
+#: backend applied the batch, unweighted (``False``) and weighted
+#: (``True``).  ``tests/test_kernels.py`` re-derives both from the
+#: reference backend, so these are its output, recorded: the self-test
+#: then costs one native pass per case instead of a reference replay,
+#: whose first run pages in ~0.5 MB of numpy and BLAS code a process
+#: would otherwise never touch.
+_SELF_TEST_DIGESTS = {
+    False: "ed0d01fb8ebc75eb64cc6bbcc0920a5f5577c91f0b886fe64755c2aa0948629b",
+    True: "e9591178e83debaa64b8428b2169a321e81eaa6be8a0272837138f8c8dc3685d",
+}
+
+
+def _self_test_plan(weighted: bool) -> FusedPlan:
+    """Fresh zeroed fagms (power-of-two and Lemire buckets) and countmin
+    entries over fixed canonical coefficients, plus an agms entry when
+    unweighted: a weighted agms update runs the inherited numpy
+    ``sign_dot``, not C, and its matmul would page BLAS code into every
+    process that runs the self-test."""
+    coefficients = np.array(
+        [i * 2654435761 % _P31 for i in range(1, 35)], dtype=np.uint64
+    )
+    bucket = coefficients[:6].reshape(3, 2)
+    sign = coefficients[6:18].reshape(3, 4)
+    entries = [
+        FusedEntry("fagms", np.zeros((3, 64)), 3, 64, bucket, "poly", sign),
+        FusedEntry("fagms", np.zeros((3, 37)), 3, 37, bucket, "poly", sign),
+        FusedEntry("countmin", np.zeros((3, 37)), 3, 37, bucket),
+    ]
+    if not weighted:
+        entries.append(
+            FusedEntry(
+                "agms",
+                np.zeros(4),
+                4,
+                sign_kind="poly",
+                sign_coefficients=coefficients[18:34].reshape(4, 4),
+                scratch=np.empty(4),
+            )
+        )
+    return FusedPlan(entries=tuple(entries))
+
+
+def _self_test_digest(backend, key_dtype, weighted: bool) -> str:
+    """sha256 of the self-test plan's counters after *backend* applies the
+    batch with *key_dtype* keys through its ``fused_update`` seam method."""
+    plan = _self_test_plan(weighted)
+    keys = np.array(_SELF_TEST_KEYS, dtype=key_dtype)
+    weights = np.array(_SELF_TEST_WEIGHTS, dtype=np.float64) if weighted else None
+    backend.fused_update(
+        plan, _prepare_keys(keys, plan.key_bound, backend), weights
+    )
+    counters = b"".join(
+        entry.counters.astype("<f8").tobytes() for entry in plan.entries
+    )
+    return hashlib.sha256(counters).hexdigest()
+
+
+def native_self_test() -> bool:
+    """Whether the native library loads and matches ``reference`` bit for bit.
+
+    Runs one small fixed batch through the native backend's
+    ``fused_update`` (the seam every sketch update crosses) for every
+    combination of int32/int64 keys and unweighted/integer-weighted
+    updates, over fagms (power-of-two and non-power-of-two buckets),
+    countmin and (unweighted) agms entries, and compares the counters with the
+    reference backend's for the same batch (:data:`_SELF_TEST_DIGESTS`).
+    The default backend selection activates native only when this
+    returns ``True``.
+    """
+    try:
+        _library()
+    except ConfigurationError:
+        return False
+    native = NativeKernelBackend()
+    return all(
+        _self_test_digest(native, key_dtype, weighted)
+        == _SELF_TEST_DIGESTS[weighted]
+        for key_dtype in (np.int32, np.int64)
+        for weighted in (False, True)
+    )
 
 
 register_backend(NativeKernelBackend())

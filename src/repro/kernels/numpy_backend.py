@@ -1,4 +1,4 @@
-"""The default numpy kernel backend: fused ``bincount`` scatter-adds.
+"""The numpy kernel backend: fused ``bincount`` scatter-adds.
 
 ``np.add.at`` applies its updates one element at a time through the ufunc
 inner loop; ``np.bincount`` walks the index array once in C and needs no
@@ -175,7 +175,7 @@ def _flat_indices(indices: np.ndarray, buckets: int) -> np.ndarray:
 
 
 class NumpyKernelBackend(KernelBackend):
-    """Fused-bincount accumulation (the default backend)."""
+    """Fused-bincount accumulation (the default when native is unavailable)."""
 
     name = "numpy"
 

@@ -37,6 +37,9 @@ from .metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     NullRegistry,
+    _NULL_COUNTER,
+    _NULL_GAUGE,
+    _NULL_HISTOGRAM,
 )
 from .tracing import NullTracer, Span, SpanContext, Tracer
 
@@ -180,6 +183,23 @@ class _NullObserver(Observer):
         self.clock = time.perf_counter
         self.metrics = NullRegistry()
         self.tracer = NullTracer()
+
+    # Hot loops call these once per chunk; returning the shared no-op
+    # instruments directly skips the registry hop (half the cost).
+
+    def counter(self, name: str, **labels) -> Counter:
+        """The shared no-op counter."""
+        return _NULL_COUNTER
+
+    def gauge(self, name: str, **labels) -> Gauge:
+        """The shared no-op gauge."""
+        return _NULL_GAUGE
+
+    def histogram(
+        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS, **labels
+    ) -> Histogram:
+        """The shared no-op histogram."""
+        return _NULL_HISTOGRAM
 
     def export(self) -> ObserverSnapshot:
         """An empty snapshot."""

@@ -338,7 +338,9 @@ class SketchRegistry:
         stream = self._stream(name)
         snapshot = stream.latest
         estimate = snapshot.point_frequency(name, key)
-        variance = snapshot.point_frequency_variance_bound(name, key)
+        variance = snapshot.point_frequency_variance_bound(
+            name, key, estimate=estimate
+        )
         result = QueryResult(
             op="point",
             estimate=estimate,

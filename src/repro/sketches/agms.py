@@ -12,8 +12,9 @@ basic estimates (see :mod:`._combine`).
 
 Update cost is ``O(rows)`` *per tuple* — every counter is touched — which
 is exactly the cost the paper's load-shedding application (Section VI-A)
-seeks to amortize by sketching a sample.  For bulk updates this class
-evaluates the ξ families over the whole key batch at once.
+seeks to amortize by sketching a sample.  Bulk updates go through the
+fused kernel seam (:func:`repro.kernels.fused_update`), which counts the
+per-row sign sums over the whole key batch in one pass.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..hashing import EH3SignFamily, FourWiseSignFamily, SignFamily
-from ..kernels import get_backend
+from ..kernels import fused_update
 from ..rng import SeedLike, as_seed_sequence, derive_seed
 from ._combine import combine_estimates, validate_combine
 from .base import Sketch
@@ -102,17 +103,7 @@ class AgmsSketch(Sketch):
         return self._counters
 
     def update(self, keys, weights=None) -> None:
-        keys, weights = self._normalize_batch(keys, weights)
-        if keys.size == 0:
-            return
-        signs = self._signs.evaluate_all(keys)  # (rows, n) of ±1
-        backend = get_backend()
-        if weights is None:
-            self._counters += backend.sign_sum(signs)
-        else:
-            # One matmul into the preallocated buffer — no per-chunk
-            # temporary beyond the float view of the signs.
-            self._counters += backend.sign_dot(signs, weights, out=self._scratch)
+        fused_update(self._update_plan(), keys, weights)
 
     # ------------------------------------------------------------------
 

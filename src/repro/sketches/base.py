@@ -28,12 +28,12 @@ sketches are agnostic about how their input was produced.
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 import numpy as np
 
 from ..errors import DomainError, IncompatibleSketchError, MergeError
 from ..frequency import FrequencyVector
+from ..kernels import make_fused_plan
 
 __all__ = ["Sketch", "join_size", "self_join_size"]
 
@@ -45,6 +45,9 @@ class Sketch(abc.ABC):
     rows: int
     #: Integer seed identifying the random families (for compatibility).
     seed_id: int
+    #: The one-entry :class:`~repro.kernels.fused.FusedPlan` that
+    #: :meth:`update` runs, built on first use (see :meth:`_update_plan`).
+    _plan = None
 
     # ------------------------------------------------------------------
     # Updates
@@ -109,9 +112,10 @@ class Sketch(abc.ABC):
         into a shared-memory segment so updates land directly in the
         transport buffer — no result pickling.  *array* must match the
         current state's shape and dtype and be C-contiguous (the native
-        backend scatters through raw pointers).  Any
+        backend scatters through raw pointers).  The sketch's own cached
+        update plan is dropped with the old storage; any other
         :class:`~repro.kernels.fused.FusedPlan` built before the swap
-        still references the old storage and must be rebuilt.
+        still references it and must be rebuilt.
         """
         state = self._state()
         if array.shape != state.shape or array.dtype != state.dtype:
@@ -122,6 +126,7 @@ class Sketch(abc.ABC):
         if not array.flags.c_contiguous:
             raise DomainError("adopted state must be C-contiguous")
         self._counters = array
+        self._plan = None
 
     def _bind_state(self, array: np.ndarray) -> None:
         """Move the current counters into *array* and adopt it as storage."""
@@ -239,25 +244,31 @@ class Sketch(abc.ABC):
             )
 
     # ------------------------------------------------------------------
-    # Shared validation helper
+    # The cached update plan
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _normalize_batch(keys, weights) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        keys = np.asarray(keys)
-        if keys.ndim != 1:
-            raise DomainError(f"keys must be 1-D, got shape {keys.shape}")
-        if keys.size and not np.issubdtype(keys.dtype, np.integer):
-            raise DomainError("sketch keys must be integers")
-        keys = keys.astype(np.int64, copy=False)
-        if weights is None:
-            return keys, None
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != keys.shape:
-            raise DomainError(
-                f"weights shape {weights.shape} does not match keys {keys.shape}"
-            )
-        return keys, weights
+    def _update_plan(self):
+        """This sketch as a one-entry plan for :func:`repro.kernels.fused_update`.
+
+        Built on first use and kept until :meth:`_adopt_state` swaps the
+        counter storage it references.  Copies and pickles never carry
+        it (see :meth:`__getstate__`).
+        """
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = make_fused_plan((self,))
+        return plan
+
+    def __getstate__(self):
+        """Copy/pickle state: every attribute but the cached update plan."""
+        slots = {
+            name: getattr(self, name)
+            for cls in type(self).__mro__
+            for name in cls.__dict__.get("__slots__", ())
+            if hasattr(self, name)
+        }
+        attrs = {k: v for k, v in vars(self).items() if k != "_plan"}
+        return (attrs or None, slots)
 
 
 def join_size(sketch_f: Sketch, sketch_g: Sketch) -> float:

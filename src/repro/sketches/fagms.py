@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..hashing import BucketHashFamily, EH3SignFamily, FourWiseSignFamily, SignFamily
-from ..kernels import get_backend
+from ..kernels import fused_update, get_backend
 from ..rng import SeedLike, as_seed_sequence, derive_seed
 from ._combine import combine_estimates, validate_combine
 from .base import Sketch
@@ -108,12 +108,7 @@ class FagmsSketch(Sketch):
         return self._counters
 
     def update(self, keys, weights=None) -> None:
-        keys, weights = self._normalize_batch(keys, weights)
-        if keys.size == 0:
-            return
-        indices = self._bucket_hash.evaluate_all(keys)
-        signs = self._signs.evaluate_all(keys)
-        get_backend().signed_scatter_add(self._counters, indices, signs, weights)
+        fused_update(self._update_plan(), keys, weights)
 
     # ------------------------------------------------------------------
 

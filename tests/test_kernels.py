@@ -295,10 +295,63 @@ def test_env_var_selects_backend(monkeypatch):
     assert get_backend().name == "reference"
 
 
-def test_env_var_defaults_to_numpy(monkeypatch):
+@pytest.fixture
+def unresolved(monkeypatch):
+    """No backend chosen yet and no env var: the default selection runs."""
     monkeypatch.setattr(backend_module, "_active", None)
     monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    return monkeypatch
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+def test_default_resolves_to_native_when_self_test_passes(unresolved):
+    from repro.kernels import native_self_test
+
+    assert native_self_test() is True
+    assert get_backend().name == "native"
+
+
+@pytest.mark.parametrize("key_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_self_test_digests_are_the_reference_backends_output(key_dtype, weighted):
+    """The native self-test compares against recorded reference counters;
+    re-derive them so the record can never drift from the reference."""
+    from repro.kernels import ReferenceKernelBackend
+    from repro.kernels import native as native_module
+
+    digest = native_module._self_test_digest(
+        ReferenceKernelBackend(), key_dtype, weighted
+    )
+    assert digest == native_module._SELF_TEST_DIGESTS[weighted]
+
+
+def test_default_resolves_to_numpy_when_native_build_fails(unresolved):
+    from repro.kernels import native as native_module
+
+    unresolved.setattr(native_module, "_lib", None)
+    unresolved.setattr(native_module, "_build_error", "cc: not found")
     assert get_backend().name == "numpy"
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+def test_default_resolves_to_numpy_when_self_test_mismatches(unresolved):
+    from repro.kernels import native as native_module
+
+    honest = native_module.NativeKernelBackend.fused_update
+
+    def off_by_one(self, plan, keys, weights=None):
+        honest(self, plan, keys, weights)
+        plan.entries[0].counters[0, 0] += 1.0
+
+    unresolved.setattr(native_module.NativeKernelBackend, "fused_update", off_by_one)
+    assert native_module.native_self_test() is False
+    assert get_backend().name == "numpy"
+
+
+@pytest.mark.parametrize("name", ["numpy", "reference"])
+def test_env_var_wins_over_the_default(unresolved, name):
+    unresolved.setenv(BACKEND_ENV_VAR, name)
+    assert get_backend().name == name
 
 
 def test_native_activation_reports_build_failure(monkeypatch):
@@ -372,3 +425,47 @@ def test_gather_and_sign_reductions(backend):
         result = backend_obj.sign_dot(signs, weights, out=out)
         assert result is out
         np.testing.assert_allclose(out, signs.astype(np.float64) @ weights)
+
+
+# ----------------------------------------------------------------------
+# Read-only counters (a frozen snapshot bound to a sketch) never change
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: FagmsSketch(64, 3, seed=5),
+        lambda: FagmsSketch(64, 3, seed=5, sign_family="eh3"),
+        lambda: CountMinSketch(64, 3, seed=5),
+        lambda: AgmsSketch(4, seed=5),
+    ],
+    ids=["fagms", "fagms-eh3", "countmin", "agms"],
+)
+def test_update_into_read_only_counters_raises(backend, weighted, factory):
+    sketch = factory()
+    frozen = sketch.counters_snapshot()
+    sketch._adopt_state(frozen)
+    keys = _keys(300, seed=4)
+    weights = np.full(keys.size, 2.0) if weighted else None
+    with use_backend(backend), pytest.raises(ValueError):
+        sketch.update(keys, weights)
+    assert not frozen.any()
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+def test_native_scatters_refuse_read_only_counters():
+    from repro.errors import ReproError
+
+    counters = np.zeros((2, 16))
+    counters.flags.writeable = False
+    indices = np.zeros((2, 5), dtype=np.int64)
+    signs = np.ones((2, 5), dtype=np.int8)
+    with use_backend("native") as native:
+        with pytest.raises(ReproError, match="read-only"):
+            native.scatter_add(counters, indices)
+        with pytest.raises(ReproError, match="read-only"):
+            native.signed_scatter_add(counters, indices, signs)
+    assert not counters.any()

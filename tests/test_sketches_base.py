@@ -1,5 +1,8 @@
 """Shared Sketch-interface behaviors across all sketch types."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -76,6 +79,29 @@ class TestSharedBehavior:
     def test_repr_mentions_class(self, factory):
         sketch = factory(1)
         assert type(sketch).__name__ in repr(sketch)
+
+    def test_cached_update_plan_never_travels(self, factory):
+        # The plan references the live counters; copies and pickles build
+        # their own on first update instead of carrying it.
+        sketch = factory(1)
+        keys = np.array([1, 2, 3])
+        sketch.update(keys)
+        before = sketch._state().copy()
+        for clone in (copy.deepcopy(sketch), pickle.loads(pickle.dumps(sketch))):
+            assert clone._plan is None
+            clone.update(keys)
+            assert np.array_equal(clone._state(), 2 * before)
+        assert np.array_equal(sketch._state(), before)
+
+    def test_adopted_storage_receives_updates(self, factory):
+        sketch = factory(1)
+        sketch.update(np.array([1, 2, 3]))
+        old = sketch._state()
+        values = old.copy()
+        sketch._bind_state(np.zeros_like(old))
+        sketch.update(np.array([4]))
+        assert np.array_equal(old, values)
+        assert not np.array_equal(sketch._state(), values)
 
 
 def test_free_function_wrappers():
