@@ -20,6 +20,9 @@ Semantics:
   runs on a producer thread feeding a
   :class:`~repro.dataplane.queue.BoundedQueue`; a slow sink therefore
   stalls the source at a bounded depth instead of buffering the stream.
+  Producer threads are reused from run to run (see
+  :class:`_SourceThreads`), so the chunk buffers a source allocates stay
+  with the thread that allocates them.
   ``queue_depth=0`` runs everything synchronously on the caller's
   thread (deterministic, zero threading overhead — what
   :meth:`StreamRuntime.run` uses).
@@ -43,9 +46,11 @@ equivalent :func:`~repro.engine.scan.run_lockstep_scan` (asserted in
 
 from __future__ import annotations
 
+import os
+import queue
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..errors import ConfigurationError, StreamIntegrityError
 from ..observability.observer import Observer, as_observer
@@ -67,6 +72,62 @@ class _Failure:
 
     def __init__(self, error: BaseException) -> None:
         self.error = error
+
+
+class _SourceThreads:
+    """Daemon threads that run threaded pipelines' sources, reused across runs.
+
+    Each thread allocates from its own glibc malloc arena.  A fresh
+    producer per run could leave its arena holding a queue's worth of
+    freed chunk buffers after it exited; the next long-lived thread (an
+    HTTP server's, say) inherited that arena while the next producer
+    grew another.  An idle source thread takes the next run instead, so
+    the buffers it frees are the ones it allocates next.  Concurrent
+    runs each get their own thread.
+    """
+
+    def __init__(self) -> None:
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._idle = 0
+
+    def submit(self, task: Callable[[], None]) -> threading.Event:
+        """Run *task* on an idle source thread, or a new one; the returned
+        event is set once *task* has returned."""
+        done = threading.Event()
+        with self._lock:
+            spawn = self._idle == 0
+            if not spawn:
+                self._idle -= 1
+        self._tasks.put((task, done))
+        if spawn:
+            threading.Thread(
+                target=self._work, name="dataplane-source", daemon=True
+            ).start()
+        return done
+
+    def _work(self) -> None:
+        while True:
+            task, done = self._tasks.get()
+            try:
+                task()
+            finally:
+                with self._lock:
+                    self._idle += 1
+                done.set()
+
+
+_SOURCE_THREADS = _SourceThreads()
+
+
+def _reset_source_threads() -> None:
+    """A forked child inherits the idle count but none of the threads."""
+    global _SOURCE_THREADS
+    _SOURCE_THREADS = _SourceThreads()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_source_threads)
 
 
 def _retunable(stage) -> bool:
@@ -342,10 +403,7 @@ class Pipeline:
             finally:
                 queue.close()
 
-        producer = threading.Thread(
-            target=produce, name="dataplane-source", daemon=True
-        )
-        producer.start()
+        produced = _SOURCE_THREADS.submit(produce)
         try:
             while True:
                 item = queue.get()
@@ -360,7 +418,7 @@ class Pipeline:
             queue.abort()
             raise
         finally:
-            producer.join()
+            produced.wait()
             wait = queue.get_wait.value
             if obs.enabled and wait is not None:
                 obs.histogram("dataplane.queue.wait_seconds").observe(wait)

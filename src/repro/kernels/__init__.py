@@ -11,10 +11,12 @@ sketches over one key stream share a single pass (see
 that call.  The separate primitives stay on the seam for the query
 path and as the reference semantics: the polynomial hash families
 dispatch their row-batched evaluation via ``polynomial_mod_p`` /
-``bucket_indices`` / ``parity_signs``, point queries read through
-``gather``, and the base :meth:`KernelBackend.fused_update` replays an
-update as ``scatter_add`` / ``signed_scatter_add`` and the AGMS sign
-reductions.
+``bucket_indices`` / ``parity_signs``, and the base
+:meth:`KernelBackend.fused_update` replays an update as ``scatter_add``
+/ ``signed_scatter_add`` and the AGMS sign reductions.  Point queries
+cross the seam once too, through :func:`fused_estimate`; its base
+implementation replays ``bucket_indices`` / ``parity_signs`` /
+``gather``.
 
 Three backends register themselves at import time:
 
@@ -61,7 +63,13 @@ from .backend import (
     set_backend,
     use_backend,
 )
-from .fused import FusedEntry, FusedPlan, fused_update, make_fused_plan
+from .fused import (
+    FusedEntry,
+    FusedPlan,
+    fused_estimate,
+    fused_update,
+    make_fused_plan,
+)
 from .native import (
     NativeKernelBackend,
     native_available,
@@ -83,6 +91,7 @@ __all__ = [
     "ReferenceKernelBackend",
     "available_backends",
     "backend_name",
+    "fused_estimate",
     "fused_update",
     "get_backend",
     "make_fused_plan",

@@ -174,6 +174,25 @@ class KernelBackend(abc.ABC):
         for entry in plan.entries:
             entry.replay(self, keys, weights)
 
+    def fused_estimate(self, plan, keys: np.ndarray) -> np.ndarray:
+        """Per-row point reads of every sketch in *plan* for one key batch.
+
+        Returns ``(Σ entry.rows, n)`` float64, entries stacked in plan
+        order: ``ξᵣ(key)·counters[r, hᵣ(key)]`` for ``"fagms"`` entries
+        and ``counters[r, hᵣ(key)]`` for ``"countmin"``.  *keys* arrive
+        prepared as for :meth:`fused_update`.  Counters are only read, so
+        read-only (snapshot) counters are fine.  This is the only call a
+        point query makes into the backend.  The base implementation
+        replays each entry through ``bucket_indices`` / ``parity_signs``
+        (or the EH3 family) / ``gather``, which is the reference
+        semantics; subclasses override to read in one pass,
+        bit-identically.
+        """
+        if keys.dtype != np.uint64:
+            # Hash-key API dtype, not an accumulator.
+            keys = keys.astype(np.uint64)  # repro: noqa(REP002)
+        return np.concatenate([entry.read(self, keys) for entry in plan.entries])
+
 
 _REGISTRY: dict = {}
 _active: Optional[KernelBackend] = None

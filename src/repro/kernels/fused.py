@@ -20,6 +20,12 @@ runs :func:`fused_update` on a one-entry plan it caches, so a single
 single C pass (native) as a multi-sketch batch, and never materializes
 the ``(rows, n)`` index/sign matrices.
 
+Point queries take the same shape on the read side: :func:`fused_estimate`
+validates keys once and makes one seam call,
+:meth:`~repro.kernels.backend.KernelBackend.fused_estimate`, which
+returns each row's ``ξ(key)·counter[h(key)]`` (or the bare counter for
+Count-Min) — the native backend hashes, signs and reads each key in C.
+
 The seam method is :meth:`~repro.kernels.backend.KernelBackend.fused_update`;
 its base implementation replays the hashing and accumulation primitives
 (``bucket_indices`` / ``parity_signs`` / the scatter and sign
@@ -60,7 +66,13 @@ import numpy as np
 from ..errors import ConfigurationError, DomainError
 from .backend import get_backend
 
-__all__ = ["FusedEntry", "FusedPlan", "make_fused_plan", "fused_update"]
+__all__ = [
+    "FusedEntry",
+    "FusedPlan",
+    "fused_estimate",
+    "fused_update",
+    "make_fused_plan",
+]
 
 #: Entry kinds a backend may receive (see :class:`FusedEntry.kind`).
 FUSED_KINDS = ("agms", "fagms", "countmin")
@@ -119,6 +131,20 @@ class FusedEntry:
             backend.signed_scatter_add(self.counters, indices, signs, weights)
         else:
             backend.scatter_add(self.counters, indices, weights)
+
+    def read(self, backend, keys: np.ndarray) -> np.ndarray:
+        """This entry's ``(rows, n)`` point reads with the primitives (bit-exact)."""
+        if self.kind == "agms":
+            raise ConfigurationError(
+                "point reads need a bucketed sketch (fagms or countmin)"
+            )
+        indices = backend.bucket_indices(
+            self.bucket_coefficients, keys, self.buckets
+        )
+        gathered = backend.gather(self.counters, indices)
+        if self.kind == "fagms":
+            return self.signs_matrix(backend, keys) * gathered
+        return gathered
 
 
 @dataclass
@@ -223,3 +249,21 @@ def fused_update(target, keys, weights=None) -> None:
     weights = _prepare_weights(weights, prepared.size)
     if prepared.size:
         backend.fused_update(plan, prepared, weights)
+
+
+def fused_estimate(target, keys) -> np.ndarray:
+    """Per-row point reads of several sketches with one pass over *keys*.
+
+    *target* is a :class:`FusedPlan` or a sequence of fagms/countmin
+    sketches.  Returns ``(Σ rows, n)`` float64, sketches stacked in
+    order (see :meth:`~repro.kernels.backend.KernelBackend.fused_estimate`);
+    keys are validated once against the plan's key bound.  Identical,
+    bit for bit, on every backend.
+    """
+    plan = target if isinstance(target, FusedPlan) else make_fused_plan(target)
+    backend = get_backend()
+    prepared = _prepare_keys(keys, plan.key_bound, backend)
+    if not prepared.size or not plan.entries:
+        rows = sum(entry.rows for entry in plan.entries)
+        return np.empty((rows, prepared.size), dtype=np.float64)
+    return backend.fused_estimate(plan, prepared)

@@ -426,6 +426,46 @@ void repro_fused_unsigned(const uint64_t *bcoeffs, int64_t rows,
         }
     }
 }
+
+/* Point reads: per row, the counter the fused update would hit for each
+ * key, times that key's sign when scoeffs is non-null (F-AGMS) and as is
+ * when it is null (Count-Min).  Same residues and bucket reduction as
+ * the kernels above; counters are only read, so a frozen snapshot's
+ * matrix is fine.  out is (rows, n). */
+void repro_fused_read(const uint64_t *bcoeffs, const uint64_t *scoeffs,
+                      int64_t rows, const void *keys, int64_t kwidth,
+                      int64_t n, int64_t buckets, const double *counters,
+                      double *out) {
+    uint64_t b = (uint64_t)buckets;
+    int pow2 = (b & (b - 1)) == 0;
+    uint64_t mask = b - 1;
+    uint64_t M = UINT64_MAX / b + 1;
+#pragma omp parallel for schedule(static) num_threads((int)repro_threads) \
+    if (repro_threads > 1)
+    for (int64_t r = 0; r < rows; r++) {
+        const uint64_t *bc = bcoeffs + 2 * r;
+        const uint64_t *sc = scoeffs ? scoeffs + 4 * r : 0;
+        const double *c = counters + r * buckets;
+        double *o = out + r * n;
+        uint64_t kbuf[BLOCK];
+        for (int64_t start = 0; start < n; start += BLOCK) {
+            int64_t m = n - start < BLOCK ? n - start : BLOCK;
+            const uint64_t *kb = load_keys(keys, kwidth, start, m, kbuf);
+            for (int64_t i = 0; i < m; i++) {
+                uint64_t x = kb[i];
+                uint64_t h = horner31_k2(bc, x);
+                int64_t idx = pow2
+                    ? (int64_t)(h & mask)
+                    : (int64_t)((uint64_t)(((__uint128_t)(h * M) * b) >> 64));
+                double v = c[idx];
+                if (sc) {
+                    v *= (double)(int8_t)(((horner31_k4(sc, x) & 1) << 1) - 1);
+                }
+                o[start + i] = v;
+            }
+        }
+    }
+}
 """
 
 _U64P = POINTER(c_uint64)
@@ -470,6 +510,11 @@ def _declare(lib: ctypes.CDLL) -> None:
         c_void_p,
     ]
     lib.repro_fused_unsigned.restype = None
+    lib.repro_fused_read.argtypes = [
+        c_void_p, c_void_p, c_int64, c_void_p, c_int64, c_int64, c_int64,
+        c_void_p, c_void_p,
+    ]
+    lib.repro_fused_read.restype = None
     lib.repro_set_threads.argtypes = [c_int64]
     lib.repro_set_threads.restype = None
     lib.repro_get_threads.argtypes = []
@@ -733,18 +778,23 @@ def _u64(array: np.ndarray):
     return array.ctypes.data_as(_U64P)
 
 
-def _counter_address(counters: np.ndarray) -> int:
-    """Address of the counter matrix, which the C side mutates in place."""
+def _readable_address(counters: np.ndarray) -> int:
+    """Address of the counter matrix for kernels that only read it."""
     if not counters.flags.c_contiguous:
         raise ConfigurationError(
             "native backend needs C-contiguous counters; got a strided view"
         )
+    return counters.ctypes.data
+
+
+def _counter_address(counters: np.ndarray) -> int:
+    """Address of the counter matrix, which the C side mutates in place."""
     if not counters.flags.writeable:
         # The C code would write straight through a frozen snapshot.
         raise ConfigurationError(
             "native backend cannot update read-only counters"
         )
-    return counters.ctypes.data
+    return _readable_address(counters)
 
 
 def _counter_pointer(counters: np.ndarray):
@@ -917,6 +967,56 @@ class NativeKernelBackend(NumpyKernelBackend):
                     wide = _as_uint64(keys)
                 entry.replay(self, wide, weights)
 
+    def fused_estimate(self, plan, keys: np.ndarray) -> np.ndarray:
+        """Per-row point reads of every plan entry, one C call per entry.
+
+        fagms (fourwise signs) and countmin entries hash, sign and read
+        each key in C (:func:`_plan_readers`, resolved once per plan);
+        EH3-signed entries replay through the primitives.  Counters are
+        never written, so read-only (snapshot) counters are accepted.
+        """
+        resolved = getattr(plan, "_native_readers", None)
+        if resolved is None:
+            resolved = plan._native_readers = _plan_readers(_library(), plan)
+        read, total_rows, readers = resolved
+        keys = np.ascontiguousarray(keys)
+        n = keys.size
+        kwidth = keys.dtype.itemsize
+        if kwidth not in (4, 8):
+            keys = keys.astype(np.uint64)
+            kwidth = 8
+        out = np.empty((total_rows, n), dtype=np.float64)
+        if n == 0:
+            return out
+        key_address = keys.ctypes.data
+        out_address = out.ctypes.data
+        for entry, (first, args) in zip(plan.entries, readers):
+            if args is not None:
+                head, tail = args
+                read(*head, key_address, kwidth, n, *tail, out_address + 8 * first * n)
+            else:
+                from ..hashing.families import _as_uint64
+
+                out[first:first + entry.rows] = entry.read(self, _as_uint64(keys))
+        return out
+
+
+def _coefficient_address(coefficients: np.ndarray) -> int:
+    if coefficients.dtype != np.uint64 or not coefficients.flags.c_contiguous:
+        raise ConfigurationError(
+            "native backend needs C-contiguous uint64 hash coefficients"
+        )
+    return coefficients.ctypes.data
+
+
+def _poly_signs(entry) -> bool:
+    """Whether *entry*'s signs are the fourwise polynomial the C code hashes."""
+    return (
+        entry.sign_kind == "poly"
+        and entry.sign_coefficients is not None
+        and entry.sign_coefficients.shape[1] == 4
+    )
+
 
 def _plan_kernels(lib: ctypes.CDLL, plan) -> tuple:
     """Per entry ``(kernel, leading args, trailing args)``, or ``None``.
@@ -926,25 +1026,13 @@ def _plan_kernels(lib: ctypes.CDLL, plan) -> tuple:
     life and numpy never moves an array's data, so their addresses are
     resolved once here rather than per chunk.
     """
-
-    def address(coefficients: np.ndarray) -> int:
-        if coefficients.dtype != np.uint64 or not coefficients.flags.c_contiguous:
-            raise ConfigurationError(
-                "native backend needs C-contiguous uint64 hash coefficients"
-            )
-        return coefficients.ctypes.data
-
     kernels = []
     for entry in plan.entries:
-        poly_signs = (
-            entry.sign_kind == "poly"
-            and entry.sign_coefficients is not None
-            and entry.sign_coefficients.shape[1] == 4
-        )
+        poly_signs = _poly_signs(entry)
         if entry.kind == "countmin":
             kernels.append((
                 lib.repro_fused_unsigned,
-                (address(entry.bucket_coefficients), entry.rows),
+                (_coefficient_address(entry.bucket_coefficients), entry.rows),
                 (entry.buckets, _counter_address(entry.counters)),
             ))
         elif not poly_signs:
@@ -953,8 +1041,8 @@ def _plan_kernels(lib: ctypes.CDLL, plan) -> tuple:
             kernels.append((
                 lib.repro_fused_signed,
                 (
-                    address(entry.bucket_coefficients),
-                    address(entry.sign_coefficients),
+                    _coefficient_address(entry.bucket_coefficients),
+                    _coefficient_address(entry.sign_coefficients),
                     entry.rows,
                 ),
                 (entry.buckets, _counter_address(entry.counters)),
@@ -962,10 +1050,39 @@ def _plan_kernels(lib: ctypes.CDLL, plan) -> tuple:
         else:
             kernels.append((
                 lib.repro_fused_agms,
-                (address(entry.sign_coefficients), entry.rows),
+                (_coefficient_address(entry.sign_coefficients), entry.rows),
                 (),
             ))
     return tuple(kernels)
+
+
+def _plan_readers(lib: ctypes.CDLL, plan) -> tuple:
+    """The read kernel, the plan's total rows, and per entry ``(first
+    output row, read args)``, where args ``None`` means a replay.
+
+    The read twin of :func:`_plan_kernels`: fagms entries with fourwise
+    signs and countmin entries read in C; EH3-signed (and agms) entries
+    replay through :meth:`~repro.kernels.fused.FusedEntry.read`.  The
+    counter address skips the writeable check, so a frozen snapshot's
+    counters stay readable.
+    """
+    readers = []
+    first = 0
+    for entry in plan.entries:
+        args = None
+        if entry.kind == "countmin" or (
+            entry.kind == "fagms" and _poly_signs(entry)
+        ):
+            args = (
+                _coefficient_address(entry.bucket_coefficients),
+                None
+                if entry.kind == "countmin"
+                else _coefficient_address(entry.sign_coefficients),
+                entry.rows,
+            ), (entry.buckets, _readable_address(entry.counters))
+        readers.append((first, args))
+        first += entry.rows
+    return lib.repro_fused_read, first, tuple(readers)
 
 
 #: The self-test batch: both ends of the hash domain plus 509 keys spread
@@ -982,9 +1099,12 @@ _SELF_TEST_WEIGHTS = [i % 7 - 3 for i in range(len(_SELF_TEST_KEYS))]
 #: then costs one native pass per case instead of a reference replay,
 #: whose first run pages in ~0.5 MB of numpy and BLAS code a process
 #: would otherwise never touch.
+#: ``"read"`` digests the reference backend's ``fused_estimate`` of the
+#: batch over fixed counters (:func:`_self_test_read_digest`).
 _SELF_TEST_DIGESTS = {
     False: "ed0d01fb8ebc75eb64cc6bbcc0920a5f5577c91f0b886fe64755c2aa0948629b",
     True: "e9591178e83debaa64b8428b2169a321e81eaa6be8a0272837138f8c8dc3685d",
+    "read": "f0941113dd2394ec06fdbe9b29fa02ddc5849a0e40cd93360444d497b7a0505e",
 }
 
 
@@ -1033,6 +1153,23 @@ def _self_test_digest(backend, key_dtype, weighted: bool) -> str:
     return hashlib.sha256(counters).hexdigest()
 
 
+def _self_test_read_digest(backend, key_dtype) -> str:
+    """sha256 of *backend*'s ``fused_estimate`` of the batch (*key_dtype*
+    keys) over the fagms and countmin entries, whose counters hold a
+    fixed pattern of small integers with zeros among them (so the signed
+    reads include ``-0.0``)."""
+    plan = _self_test_plan(weighted=True)
+    for number, entry in enumerate(plan.entries):
+        size = entry.counters.size
+        pattern = np.arange(size, dtype=np.float64) * (number + 3) % 11 - 5
+        entry.counters[...] = pattern.reshape(entry.counters.shape)
+    keys = np.array(_SELF_TEST_KEYS, dtype=key_dtype)
+    reads = backend.fused_estimate(
+        plan, _prepare_keys(keys, plan.key_bound, backend)
+    )
+    return hashlib.sha256(reads.astype("<f8").tobytes()).hexdigest()
+
+
 def native_self_test() -> bool:
     """Whether the native library loads and matches ``reference`` bit for bit.
 
@@ -1042,6 +1179,9 @@ def native_self_test() -> bool:
     updates, over fagms (power-of-two and non-power-of-two buckets),
     countmin and (unweighted) agms entries, and compares the counters with the
     reference backend's for the same batch (:data:`_SELF_TEST_DIGESTS`).
+    It then reads the batch back through ``fused_estimate`` (the seam
+    every point query crosses) over the fagms and countmin entries, for
+    int32 and int64 keys, against the reference backend's reads.
     The default backend selection activates native only when this
     returns ``True``.
     """
@@ -1055,6 +1195,9 @@ def native_self_test() -> bool:
         == _SELF_TEST_DIGESTS[weighted]
         for key_dtype in (np.int32, np.int64)
         for weighted in (False, True)
+    ) and all(
+        _self_test_read_digest(native, key_dtype) == _SELF_TEST_DIGESTS["read"]
+        for key_dtype in (np.int32, np.int64)
     )
 
 

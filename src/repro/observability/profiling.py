@@ -179,6 +179,24 @@ class ProfilingKernelBackend(KernelBackend):
         _, nbytes = self._traffic(keys, weights)
         self._record("fused_update", slots, nbytes, elapsed, True)
 
+    def fused_estimate(self, plan, keys):
+        """Delegate a batch of point reads, metering it as one seam call.
+
+        ``kernels.rows`` counts ``Σ entry.rows × n`` read slots; reads
+        are not accumulation, so the update throughput gauge ignores
+        them.  Without this method the base class would replay the
+        reads through the hashing primitives and the gather, a
+        different program from the one the wrapped backend runs.
+        """
+        started = self.clock()
+        out = self.inner.fused_estimate(plan, keys)
+        elapsed = self.clock() - started
+        n = int(np.asarray(keys).size)
+        slots = sum(entry.rows for entry in plan.entries) * n
+        _, nbytes = self._traffic(keys)
+        self._record("fused_estimate", slots, nbytes, elapsed, False)
+        return out
+
     # ------------------------------------------------------------------
     # Hashing primitives
     # ------------------------------------------------------------------

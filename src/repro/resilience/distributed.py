@@ -385,7 +385,9 @@ class ShardSupervisor:
             # 1. Reap finished dispatches (first result per shard wins).
             for record in list(active):
                 future = record.handle.future
-                if not future.done():
+                # A winner earlier in this pass may already have removed
+                # its finished rival from ``active``.
+                if record not in active or not future.done():
                     continue
                 active.remove(record)
                 progressed = True

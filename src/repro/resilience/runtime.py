@@ -64,6 +64,16 @@ class ChunkEnvelope:
     crc32: int
 
 
+def _payload_crc32(keys: np.ndarray) -> int:
+    """``zlib.crc32(keys.tobytes())`` without copying contiguous keys.
+
+    ``zlib`` reads the array's own buffer through a byte memoryview;
+    only a strided array pays one compacting copy (``tobytes`` would
+    copy every chunk, contiguous or not).
+    """
+    return zlib.crc32(memoryview(np.ascontiguousarray(keys)).cast("B"))
+
+
 def make_envelope(sequence: int, keys) -> ChunkEnvelope:
     """Seal one chunk into a :class:`ChunkEnvelope` (count + CRC32)."""
     if sequence < 0:
@@ -73,7 +83,7 @@ def make_envelope(sequence: int, keys) -> ChunkEnvelope:
         sequence=int(sequence),
         keys=keys,
         count=int(keys.size),
-        crc32=zlib.crc32(np.ascontiguousarray(keys).tobytes()),
+        crc32=_payload_crc32(keys),
     )
 
 
@@ -106,7 +116,7 @@ def verify_payload(
             f"chunk {envelope.sequence} truncated: declared "
             f"{envelope.count} tuples, received {keys.size}"
         )
-    if zlib.crc32(np.ascontiguousarray(keys).tobytes()) != envelope.crc32:
+    if _payload_crc32(keys) != envelope.crc32:
         if on_reject is not None:
             on_reject("crc")
         raise StreamIntegrityError(

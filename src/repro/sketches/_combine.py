@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["combine_estimates", "validate_combine"]
+__all__ = ["combine_estimates", "exact_median", "validate_combine"]
 
 _METHODS = ("mean", "median", "median-of-means")
 
@@ -60,3 +60,28 @@ def combine_estimates(values: np.ndarray, method: str, groups: int = 1) -> float
         return float(np.median(values))
     group_means = values.reshape(groups, -1).mean(axis=1)
     return float(np.median(group_means))
+
+
+def exact_median(reads: np.ndarray) -> float:
+    """``np.median(reads, axis=0)`` of a ``(rows, 1)`` column, bit for bit.
+
+    A scalar point query's rows fit in a Python list, where sorting and
+    picking the middle (the mean of the middle two for an even count)
+    costs far less than ``np.median``'s partition and ``mean`` machinery.
+    Floats that compare equal but differ in bits are only signed zeros,
+    and a NaN anywhere makes ``np.median`` NaN; in those cases (a zero
+    median, or a NaN sum) the answer is handed back to ``np.median``,
+    whose reduction then decides the sign of the zero.
+    """
+    values = reads.ravel().tolist()
+    values.sort()
+    half = len(values) // 2
+    if len(values) % 2:
+        middle = values[half]
+    else:
+        middle = (values[half - 1] + values[half]) / 2
+    total = sum(values)
+    # Exact by design: a signed zero is the one tie that needs numpy.
+    if middle == 0.0 or total != total:  # repro: noqa(REP004)
+        return float(np.median(reads, axis=0)[0])
+    return middle

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import DomainError, IncompatibleSketchError, MergeError
 from ..frequency import FrequencyVector
-from ..kernels import make_fused_plan
+from ..kernels import get_backend, make_fused_plan
 
 __all__ = ["Sketch", "join_size", "self_join_size"]
 
@@ -258,6 +258,22 @@ class Sketch(abc.ABC):
         if plan is None:
             plan = self._plan = make_fused_plan((self,))
         return plan
+
+    def _point_reads(self, key) -> np.ndarray:
+        """The ``(rows, 1)`` per-row reads of one key: one seam call.
+
+        The scalar twin of :func:`repro.kernels.fused_estimate`, with the
+        key range checked in Python instead of by an array min/max.
+        """
+        plan = self._update_plan()
+        key = int(key)
+        if not 0 <= key < plan.key_bound:
+            raise DomainError(
+                f"sketch keys must lie in [0, {plan.key_bound}), saw {key}"
+            )
+        # Hash-key API dtype, not an accumulator.
+        keys = np.array([key], dtype=np.uint64)  # repro: noqa(REP002)
+        return get_backend().fused_estimate(plan, keys)
 
     def __getstate__(self):
         """Copy/pickle state: every attribute but the cached update plan."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, EstimationError
 from ..hashing import BucketHashFamily
-from ..kernels import fused_update, get_backend
+from ..kernels import fused_update
 from ..rng import SeedLike, as_seed_sequence, derive_seed
 from .base import Sketch
 
@@ -72,9 +72,7 @@ class CountMinSketch(Sketch):
 
     def point_estimate(self, key: int) -> float:
         """Upper-bound estimate of the frequency of *key* (min over rows)."""
-        keys = np.asarray([key], dtype=np.int64)
-        indices = self._bucket_hash.evaluate_all(keys)
-        return float(get_backend().gather(self._counters, indices).min())
+        return float(self._point_reads(key).min())
 
     def inner_product(self, other: Sketch) -> float:
         """Upper-bound estimate of ``Σᵢ fᵢ gᵢ`` (min over rows)."""

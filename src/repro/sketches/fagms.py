@@ -25,9 +25,9 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..hashing import BucketHashFamily, EH3SignFamily, FourWiseSignFamily, SignFamily
-from ..kernels import fused_update, get_backend
+from ..kernels import fused_estimate, fused_update
 from ..rng import SeedLike, as_seed_sequence, derive_seed
-from ._combine import combine_estimates, validate_combine
+from ._combine import combine_estimates, exact_median, validate_combine
 from .base import Sketch
 
 __all__ = ["FagmsSketch"]
@@ -145,14 +145,11 @@ class FagmsSketch(Sketch):
         guarantee w.h.p.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        indices = self._bucket_hash.evaluate_all(keys)
-        signs = self._signs.evaluate_all(keys)
-        gathered = get_backend().gather(self._counters, indices)
-        return np.median(signs * gathered, axis=0)
+        return np.median(fused_estimate(self._update_plan(), keys), axis=0)
 
     def point_estimate(self, key: int) -> float:
         """Unbiased estimate of a single key's frequency (median over rows)."""
-        return float(self.estimate_frequencies(np.asarray([key]))[0])
+        return exact_median(self._point_reads(key))
 
     # ------------------------------------------------------------------
 

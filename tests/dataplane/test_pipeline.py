@@ -242,3 +242,91 @@ def test_runtime_sink_counts_kept_tuples():
     sink.accept(envelope)
     assert sink.kept == 20
     assert sink.tuples == 20
+
+
+# ----------------------------------------------------------------------
+# Producer threads are reused across runs, never shared by live runs
+# ----------------------------------------------------------------------
+
+
+def _recording_chunks(seen: list, count: int = 4):
+    """Chunks whose generator notes the thread it runs on."""
+    import threading
+
+    for chunk in _chunks(7, count=count):
+        seen.append(threading.get_ident())
+        yield chunk
+
+
+def test_sequential_threaded_runs_reuse_one_source_thread():
+    import threading
+
+    first, second = [], []
+    Pipeline(IterableSource(_recording_chunks(first)), sinks=[CollectSink()]).run()
+    Pipeline(IterableSource(_recording_chunks(second)), sinks=[CollectSink()]).run()
+    assert len(set(first)) == len(set(second)) == 1
+    assert first[0] == second[0] != threading.get_ident()
+
+
+def test_concurrent_threaded_runs_get_their_own_source_threads():
+    """Run A's sink waits for run B's sink; had B's source queued behind
+    A's busy producer, neither run could finish."""
+    import threading
+
+    from repro.dataplane import CallbackSink
+
+    b_delivered = threading.Event()
+    seen_a, seen_b, errors = [], [], []
+
+    def wait_for_b(envelope):
+        if not b_delivered.wait(timeout=30):
+            raise AssertionError("run B never delivered")
+
+    def run_a():
+        try:
+            Pipeline(
+                IterableSource(_recording_chunks(seen_a, count=8)),
+                sinks=[CallbackSink(wait_for_b)],
+                queue_depth=1,
+            ).run()
+        except BaseException as error:
+            errors.append(error)
+
+    a = threading.Thread(target=run_a)
+    a.start()
+    Pipeline(
+        IterableSource(_recording_chunks(seen_b)),
+        sinks=[CallbackSink(lambda envelope: b_delivered.set())],
+        queue_depth=1,
+    ).run()
+    a.join(timeout=30)
+    assert not a.is_alive() and not errors
+    assert set(seen_a).isdisjoint(seen_b)
+
+
+@pytest.mark.skipif(not hasattr(__import__("os"), "fork"), reason="needs fork")
+def test_threaded_run_in_a_forked_child_gets_a_live_source_thread():
+    """A child inherits the parent's idle-thread count but not the
+    threads; its threaded runs must still start a producer."""
+    import os
+    import time
+
+    Pipeline(IterableSource(_chunks(8)), sinks=[CollectSink()]).run()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        try:
+            collect = CollectSink()
+            Pipeline(IterableSource(_chunks(8)), sinks=[collect]).run()
+            os._exit(0 if collect.keys().size == 300 else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.01)
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child's threaded run never finished")

@@ -68,6 +68,40 @@ def test_profiling_meters_rows_and_ops(keys, tick_clock):
     )
 
 
+@pytest.mark.parametrize("backend", _usable_backends())
+def test_profiling_meters_point_reads_as_one_seam_op(backend, keys):
+    """Point queries cross the seam once as ``fused_estimate``: the
+    profiler forwards the call (answers bit-identical) instead of
+    replaying it through the hashing primitives and the gather."""
+    with use_backend(backend):
+        sketch = FagmsSketch(128, rows=3, seed=11)
+        sketch.update(keys)
+        queries = keys[:40]
+        plain = sketch.estimate_frequencies(queries)
+        plain_point = sketch.point_estimate(7)
+        obs = Observer()
+        with profile_kernels(obs):
+            profiled = sketch.estimate_frequencies(queries)
+            profiled_point = sketch.point_estimate(7)
+    assert np.array_equal(plain, profiled)
+    assert plain_point == profiled_point
+    snapshot = obs.metrics.snapshot()
+    assert snapshot.counter_value(
+        "kernels.ops", op="fused_estimate", backend=backend
+    ) == 2
+    assert snapshot.counter_value(
+        "kernels.rows", op="fused_estimate", backend=backend
+    ) == 3 * (queries.size + 1)
+    for replayed in ("bucket_indices", "parity_signs", "gather"):
+        assert snapshot.counter_value(
+            "kernels.ops", op=replayed, backend=backend
+        ) == 0
+    # Reads are not updates: the update throughput gauge is never set.
+    assert snapshot.gauge_value(
+        "kernels.throughput.tuples_per_sec", backend=backend
+    ) is None
+
+
 def test_profiling_records_latency_histograms(keys, tick_clock):
     obs = Observer(tick_clock)
     with profile_kernels(obs, clock=tick_clock):

@@ -6,12 +6,19 @@ the final counters must equal an uninterrupted run's bit for bit
 (``np.array_equal``, not ``allclose``).
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.errors import CheckpointError, StreamIntegrityError
 from repro.kernels import backend_name, native_available, set_backend
-from repro.resilience.runtime import StreamRuntime, envelope_stream, make_envelope
+from repro.resilience.runtime import (
+    StreamRuntime,
+    envelope_stream,
+    make_envelope,
+    verify_payload,
+)
 from repro.sketches.agms import AgmsSketch
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.fagms import FagmsSketch
@@ -133,6 +140,36 @@ def test_bit_flipped_payload_raises(stream_chunks):
     )
     with pytest.raises(StreamIntegrityError, match="CRC32"):
         runtime.process(flipped)
+
+
+_CRC_PAYLOADS = {
+    "int32": np.arange(1000, dtype=np.int32) * 7919,
+    "int64": np.arange(1000, dtype=np.int64) * (2**33 + 1),
+    "uint64": np.arange(1000, dtype=np.uint64) * np.uint64(2**40 + 3),
+    "empty-int64": np.empty(0, dtype=np.int64),
+    "empty-int32": np.empty(0, dtype=np.int32),
+    "strided-int64": (np.arange(3000, dtype=np.int64) * 13)[::3],
+    "strided-int32": (np.arange(3000, dtype=np.int32) * 13)[1::7],
+    "reversed-uint64": np.arange(500, dtype=np.uint64)[::-1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CRC_PAYLOADS))
+def test_envelope_crc_is_crc32_of_the_payload_bytes(name):
+    """The envelope CRC reads the key buffer in place, yet stays exactly
+    ``zlib.crc32(keys.tobytes())`` for contiguous, strided and empty keys."""
+    keys = _CRC_PAYLOADS[name]
+    sealed = make_envelope(3, keys)
+    assert sealed.crc32 == zlib.crc32(keys.tobytes())
+    assert verify_payload(sealed) is not None
+    if keys.size:
+        damaged = keys.copy()
+        damaged[-1] ^= 1
+        tampered = type(sealed)(
+            sequence=3, keys=damaged, count=sealed.count, crc32=sealed.crc32
+        )
+        with pytest.raises(StreamIntegrityError, match="CRC32"):
+            verify_payload(tampered)
 
 
 def test_gap_in_sequence_raises(stream_chunks):

@@ -16,6 +16,7 @@ from repro.errors import ConfigurationError, DomainError
 from repro.kernels import (
     FusedPlan,
     available_backends,
+    fused_estimate,
     fused_update,
     make_fused_plan,
     use_backend,
@@ -174,6 +175,89 @@ def test_empty_plan_is_a_noop():
 def test_fused_weight_shape_mismatch_raises():
     with pytest.raises(DomainError):
         fused_update(_trio(), _keys(16), np.ones(4))
+
+
+# ----------------------------------------------------------------------
+# Fused point reads (fused_estimate)
+# ----------------------------------------------------------------------
+
+
+def _filled_readables(sign_family: str = "fourwise") -> list:
+    sketches = [
+        FagmsSketch(512, rows=5, seed=7, sign_family=sign_family),
+        CountMinSketch(256, rows=3, seed=7),
+        FagmsSketch(1021, rows=2, seed=8, sign_family=sign_family),
+    ]
+    fused_update(sketches, _keys(20_000))
+    return sketches
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("sign_family", ["fourwise", "eh3"])
+@pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64, np.uint64])
+def test_fused_estimate_stacks_each_sketchs_reads(backend, sign_family, dtype):
+    """A multi-sketch read is each sketch's own read, stacked in plan
+    order, and every backend matches the reference backend bit for bit."""
+    sketches = _filled_readables(sign_family)
+    queries = _keys(3_000).astype(dtype)
+    with use_backend("reference"):
+        expected = [fused_estimate([s], queries) for s in sketches]
+    with use_backend(backend):
+        stacked = fused_estimate(sketches, queries)
+    assert stacked.shape == (10, queries.size)
+    assert stacked.tobytes() == np.concatenate(expected).tobytes()
+
+
+def test_fused_estimate_refuses_agms_entries():
+    sketch = AgmsSketch(16, seed=7)
+    with pytest.raises(ConfigurationError):
+        fused_estimate([sketch], np.arange(5))
+
+
+def test_fused_estimate_rejects_out_of_range_keys():
+    with pytest.raises(DomainError):
+        fused_estimate(_filled_readables(), np.array([0, 2**31 - 1]))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_snapshot_sketch_view_answers_point_queries(backend):
+    """A snapshot's frozen sketch answers point queries on every backend
+    (reads skip the writeable check); an update through it still refuses."""
+    from repro.engine import OnlineStatisticsEngine
+
+    engine = OnlineStatisticsEngine(buckets=256, rows=3, seed=42)
+    engine.register("f", 1000)
+    engine.consume("f", np.random.default_rng(5).integers(0, 100, size=600))
+    with use_backend("reference"):
+        reference = engine.snapshot().sketch_view("f")
+        expected = [reference.point_estimate(key) for key in range(100)]
+    with use_backend(backend):
+        view = engine.snapshot().sketch_view("f")
+        assert not view.counters.flags.writeable
+        assert [view.point_estimate(key) for key in range(100)] == expected
+        with pytest.raises(ValueError):
+            view.update(np.array([1, 2, 3]))
+    assert view.counters.tobytes() == reference.counters.tobytes()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["fagms", "countmin", "fagms-1021"])
+@pytest.mark.parametrize("sign_family", ["fourwise", "eh3"])
+def test_read_only_counters_stay_readable(backend, index, sign_family):
+    sketch = _filled_readables(sign_family)[index]
+    queries = np.arange(200)
+    with use_backend("reference"):
+        expected = fused_estimate([sketch], queries)
+        expected_points = [sketch.point_estimate(key) for key in range(50)]
+    frozen = sketch.counters_snapshot()
+    sketch._adopt_state(frozen)
+    with use_backend(backend):
+        reads = fused_estimate([sketch], queries)
+        points = [sketch.point_estimate(key) for key in range(50)]
+        with pytest.raises(ValueError):
+            sketch.update(queries)
+    assert reads.tobytes() == expected.tobytes()
+    assert points == expected_points
 
 
 # ----------------------------------------------------------------------

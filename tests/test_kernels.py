@@ -21,6 +21,7 @@ from repro.kernels import (
     BACKEND_ENV_VAR,
     available_backends,
     backend_name,
+    fused_estimate,
     get_backend,
     native_available,
     set_backend,
@@ -225,6 +226,138 @@ def test_estimates_match_across_backends():
 
 
 # ----------------------------------------------------------------------
+# Point reads: one fused_estimate seam call, bit-identical to reference
+# ----------------------------------------------------------------------
+
+_POINT_SKETCHES = [
+    ("fagms", lambda rows, buckets: FagmsSketch(buckets, rows, seed=9)),
+    (
+        "fagms-eh3",
+        lambda rows, buckets: FagmsSketch(buckets, rows, seed=9, sign_family="eh3"),
+    ),
+    ("countmin", lambda rows, buckets: CountMinSketch(buckets, rows, seed=9)),
+]
+
+
+def _point_sketch(kind, rows, buckets):
+    """A sketch over a Zipf-ish stream with negative weights, so the reads
+    hold positive, negative and zero counters (and signed zeros)."""
+    factory = dict(_POINT_SKETCHES)[kind]
+    sketch = factory(rows, buckets)
+    rng = np.random.default_rng(rows * buckets)
+    keys = rng.zipf(1.3, size=4000) % 3000
+    sketch.update(keys.astype(np.int64), rng.integers(-2, 4, size=keys.size))
+    return sketch
+
+
+def _point_answers(sketch, queries):
+    reads = fused_estimate(sketch._update_plan(), queries)
+    points = [sketch.point_estimate(int(q)) for q in queries[:300]]
+    batch = (
+        sketch.estimate_frequencies(queries)
+        if isinstance(sketch, FagmsSketch)
+        else None
+    )
+    return reads, points, batch
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@pytest.mark.parametrize("key_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("buckets", [1024, 1021])
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("kind", [kind for kind, _ in _POINT_SKETCHES])
+def test_point_reads_bit_identical_to_reference(
+    backend, key_dtype, buckets, rows, kind
+):
+    """``fused_estimate``, ``estimate_frequencies`` and ``point_estimate``
+    match the reference backend bit for bit (signed zeros included); two
+    rows exercise the even-count median, the mean of the middle two."""
+    sketch = _point_sketch(kind, rows, buckets)
+    queries = np.arange(0, 3500, 3).astype(key_dtype)
+    with use_backend("reference"):
+        expected = _point_answers(sketch, queries)
+    with use_backend(backend):
+        actual = _point_answers(sketch, queries)
+    assert _same_bits(actual[0], expected[0])
+    assert actual[1] == expected[1]
+    assert _same_bits(actual[1], expected[1])
+    if expected[2] is not None:
+        assert np.array_equal(actual[2], expected[2])
+        assert _same_bits(actual[2], expected[2])
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+def test_point_estimate_is_the_numpy_median_of_the_reads(backend, rows):
+    """The scalar median is ``np.median`` of the per-row reads, bit for
+    bit, including zero and tied middles."""
+    sketch = _point_sketch("fagms", rows, 64)
+    queries = np.arange(2000, dtype=np.int64)
+    with use_backend(backend):
+        reads = fused_estimate(sketch._update_plan(), queries)
+        points = [sketch.point_estimate(int(q)) for q in queries]
+    expected = np.median(reads, axis=0)
+    assert _same_bits(points, expected)
+    assert (expected == 0).any()
+
+
+def test_exact_median_matches_numpy_on_awkward_columns():
+    """Signed zeros, NaNs, infinities, overflow and even counts."""
+    from repro.sketches._combine import exact_median
+
+    columns = [
+        [-0.0],
+        [0.0, -0.0],
+        [-0.0, -0.0],
+        [3.0, -3.0],
+        [1.0, -0.0, 0.0],
+        [-0.0, 0.0, -0.0, 0.0, 2.0],
+        [np.nan, 1.0, 2.0],
+        [np.inf, -np.inf],
+        [np.inf, 1.0, np.inf],
+        [1e308, 1e308],
+        [5.0, 1.0, 4.0, 2.0],
+    ]
+    for column in columns:
+        reads = np.array(column)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.median(reads, axis=0)[0]
+            assert _same_bits(exact_median(reads), expected), column
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("kind", [kind for kind, _ in _POINT_SKETCHES])
+def test_point_reads_empty_batch(backend, kind):
+    sketch = _point_sketch(kind, 3, 64)
+    with use_backend(backend):
+        reads = fused_estimate(sketch._update_plan(), np.empty(0, dtype=np.int64))
+        assert reads.shape == (3, 0)
+        if kind != "countmin":
+            estimates = sketch.estimate_frequencies([])
+            assert estimates.shape == (0,)
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("kind", [kind for kind, _ in _POINT_SKETCHES])
+def test_point_reads_reject_out_of_range_keys(backend, kind):
+    from repro.errors import DomainError
+
+    sketch = _point_sketch(kind, 2, 64)
+    with use_backend(backend):
+        for key in (-1, 2**31 - 1, 2**40):
+            with pytest.raises(DomainError):
+                sketch.point_estimate(key)
+            if kind != "countmin":
+                with pytest.raises(DomainError):
+                    sketch.estimate_frequencies([0, key])
+
+
+# ----------------------------------------------------------------------
 # Legacy pin: an inline reimplementation of the pre-kernel update path,
 # independent of the kernels package entirely.
 # ----------------------------------------------------------------------
@@ -323,6 +456,8 @@ def test_self_test_digests_are_the_reference_backends_output(key_dtype, weighted
         ReferenceKernelBackend(), key_dtype, weighted
     )
     assert digest == native_module._SELF_TEST_DIGESTS[weighted]
+    read = native_module._self_test_read_digest(ReferenceKernelBackend(), key_dtype)
+    assert read == native_module._SELF_TEST_DIGESTS["read"]
 
 
 def test_default_resolves_to_numpy_when_native_build_fails(unresolved):
@@ -344,6 +479,25 @@ def test_default_resolves_to_numpy_when_self_test_mismatches(unresolved):
         plan.entries[0].counters[0, 0] += 1.0
 
     unresolved.setattr(native_module.NativeKernelBackend, "fused_update", off_by_one)
+    assert native_module.native_self_test() is False
+    assert get_backend().name == "numpy"
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+def test_default_resolves_to_numpy_when_self_test_read_mismatches(unresolved):
+    """A wrong C read kernel alone keeps native from being the default."""
+    from repro.kernels import native as native_module
+
+    honest = native_module.NativeKernelBackend.fused_estimate
+
+    def flipped_sign(self, plan, keys):
+        reads = honest(self, plan, keys)
+        reads[0, 0] = -reads[0, 0]
+        return reads
+
+    unresolved.setattr(
+        native_module.NativeKernelBackend, "fused_estimate", flipped_sign
+    )
     assert native_module.native_self_test() is False
     assert get_backend().name == "numpy"
 
